@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK := honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: build test race lint static bench bench-ci bench-alloc bench-kernels bench-baseline scale-smoke scale-baseline trace-lint fault-lint profile-smoke fuzz matrix matrix-smoke daemon-smoke clean
+.PHONY: build test race lint static bench bench-ci bench-alloc bench-kernels bench-baseline scale-smoke scale-baseline perfbench-smoke trace-lint fault-lint profile-smoke fuzz matrix matrix-smoke daemon-smoke clean
 
 build:
 	$(GO) build ./...
@@ -90,6 +90,16 @@ scale-smoke:
 scale-baseline:
 	SUNFLOW_SCALE=1 $(GO) test -bench SunflowInter_100k -benchtime 1x -benchmem -run '^$$' . | $(GO) run ./cmd/benchci -write-baseline BENCH_scale_baseline.json
 
+# The repository benchmark (BENCHMARK.json, perfbench/README.md) at smoke
+# size: the nested perfbench module's unit tests, then one short traced run
+# of the paper workload at the canonical seed. run.sh exits 1 on any
+# "GATE FAILED" line — the golden archive digest, bytes delivered ==
+# demanded, and per-layer self-times summing to sim.run. Build output lands
+# in .bench_build/. Same as the CI perfbench-smoke job.
+perfbench-smoke:
+	cd perfbench && $(GO) test .
+	bash perfbench/run.sh --workload paper --seed 1 --seconds 5 --trace 1
+
 # Trace a fixed-seed run, check the docs/TRACE.md invariants, render the
 # HTML report. Same pipeline as the CI trace job.
 trace-lint:
@@ -158,4 +168,4 @@ clean:
 	rm -f BENCH_ci.json BENCH_alloc.json BENCH_history.jsonl events.jsonl fault-events.jsonl report.html
 	rm -f profile-events.jsonl profile.svg
 	rm -f BENCH_scale.json scale-trace.txt scale-digest-1.txt scale-digest-2.txt scale-digest-full.txt
-	rm -rf matrix-out matrix-smoke-out matrix-smoke-rerun matrix-shard-out bin
+	rm -rf matrix-out matrix-smoke-out matrix-smoke-rerun matrix-shard-out bin .bench_build

@@ -191,6 +191,42 @@ func BenchmarkSunflowIntra_Shuffle40_Reference(b *testing.B) {
 	}
 }
 
+// BenchmarkSunflowIntra_Wide150 schedules one wide Coflow — every input of a
+// 150-port fabric sending to 32 random outputs, 4800 flows — into a table
+// preloaded with the reservations of a prior inter pass over the first 150
+// Facebook-trace Coflows, so the search threads its circuits around busy
+// ports as a replan does. Only the intra pass is timed.
+func BenchmarkSunflowIntra_Wide150(b *testing.B) {
+	opts := Options{LinkBps: 1e9, Delta: 0.01}
+	scheds, err := core.InterCoflow(core.NewPRT(150), benchFacebook150()[:150], opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var preload []Reservation
+	for _, s := range scheds {
+		preload = append(preload, s.Reservations...)
+	}
+	rng := rand.New(rand.NewSource(7))
+	var flows []Flow
+	for i := 0; i < 150; i++ {
+		for _, j := range rng.Perm(150)[:32] {
+			flows = append(flows, Flow{Src: i, Dst: j, Bytes: float64(1+rng.Intn(64)) * 1e6})
+		}
+	}
+	c := NewCoflow(1, 0, flows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		prt := core.NewPRT(150)
+		prt.Preload(preload)
+		b.StartTimer()
+		if _, err := core.IntraCoflow(prt, c, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchFacebook150 is the full-scale inter-Coflow pass: the 526-Coflow
 // Facebook-derived trace on a 150-port fabric, priority-ordered shortest
 // first — the workload whose planning cost the indexed PRT and horizon

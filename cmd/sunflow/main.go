@@ -8,14 +8,16 @@
 // Usage:
 //
 //	sunflow [-trace file] [-coflow id] [-b gbps] [-delta sec] [-policy scf|fifo] [-scheduler sunflow|solstice] [-v]
-//	        [-metrics] [-traceout file] [-http addr] [-pprof addr]
+//	        [-metrics] [-traceout file] [-http addr] [-pprof addr] [-full-replan]
 //
 // -metrics prints the run's observability summary (circuit setups, δ time
 // paid, duty cycle, scheduler-pass wall time) and -traceout writes the
 // structured simulation event stream as JSON Lines (inspect it with
 // sunflow-analyze); -http serves live Prometheus /metrics, /healthz, expvar
 // and net/http/pprof; -pprof serves bare net/http/pprof on the given
-// address.
+// address. -full-replan disables incremental schedule reuse, so every
+// scheduling pass reruns the intra scheduler for every live Coflow; the
+// results and the -traceout stream must not change.
 package main
 
 import (
@@ -51,6 +53,7 @@ func main() {
 	traceOut := flag.String("traceout", "", "write the JSONL simulation event trace to this file")
 	httpAddr := flag.String("http", "", "serve live /metrics, /healthz, expvar and pprof on this address (e.g. :8080)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	fullReplan := flag.Bool("full-replan", false, "disable incremental schedule reuse: rerun the intra scheduler for every live Coflow on every pass (the reference oracle; results must not change)")
 	flag.Parse()
 
 	if *pprofAddr != "" {
@@ -121,11 +124,12 @@ func main() {
 	}
 
 	res, err := sim.RunCircuit(tr.Coflows, sim.CircuitOptions{
-		Ports:   tr.Ports,
-		LinkBps: linkBps,
-		Delta:   *delta,
-		Policy:  policy,
-		Obs:     o,
+		Ports:      tr.Ports,
+		LinkBps:    linkBps,
+		Delta:      *delta,
+		Policy:     policy,
+		FullReplan: *fullReplan,
+		Obs:        o,
 	})
 	if err != nil {
 		fatal(err)

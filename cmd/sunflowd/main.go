@@ -8,13 +8,15 @@
 //	sunflowd -data dir [-http addr] [-ports n] [-gbps g] [-delta-ms d]
 //	         [-queue n] [-inflight n] [-request-timeout dur]
 //	         [-checkpoint-every n] [-checkpoint-interval dur]
-//	         [-watchdog dur] [-seed s]
+//	         [-watchdog dur] [-seed s] [-full-replan]
 //
 // The data directory holds the write-ahead log and snapshots; restarting
 // against the same directory recovers the exact pre-crash schedule state
 // (bit-identical digest). The fabric parameters (-ports, -gbps, -delta-ms,
 // -order, -seed) are fixed for the directory's lifetime — the daemon refuses
-// to open a directory recorded under different parameters.
+// to open a directory recorded under different parameters. -full-replan
+// disables incremental schedule reuse; schedules and digests must not change,
+// so it may differ between runs on one directory.
 //
 // The HTTP server is the obshttp exposition server, so /metrics, /metrics.json,
 // /healthz, /readyz, expvar and pprof ride alongside the /v1 API. SIGTERM and
@@ -53,6 +55,7 @@ func main() {
 	ckptInterval := flag.Duration("checkpoint-interval", 0, "snapshot on this wall-clock period (0 = default 30s, negative disables)")
 	watchdog := flag.Duration("watchdog", 0, "fail readiness when one apply exceeds this (0 = default 30s, negative disables)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max graceful-drain wait on SIGTERM/SIGINT")
+	fullReplan := flag.Bool("full-replan", false, "disable incremental schedule reuse: rerun the intra scheduler for every live Coflow on every replan (the reference oracle; digests must not change)")
 	flag.Parse()
 
 	if *dataDir == "" {
@@ -64,11 +67,12 @@ func main() {
 	reg := obs.NewRegistry()
 	cfg := daemon.Config{
 		Engine: daemon.EngineConfig{
-			Ports:   *ports,
-			LinkBps: *gbps * bench.Gbps,
-			Delta:   *deltaMs / 1e3,
-			Order:   core.Order(*order),
-			Seed:    *seed,
+			Ports:      *ports,
+			LinkBps:    *gbps * bench.Gbps,
+			Delta:      *deltaMs / 1e3,
+			Order:      core.Order(*order),
+			Seed:       *seed,
+			FullReplan: *fullReplan,
 		},
 		DataDir:            *dataDir,
 		QueueSize:          *queue,

@@ -27,7 +27,11 @@ const quickCount = 200
 // Block calls (including permanent +Inf outages), and optional compaction.
 // Called twice per trial, it yields two independently built but identical
 // tables.
-func prtScenario(rng *rand.Rand, ports int) *PRT {
+func prtScenario(rng *rand.Rand, ports int) *PRT { return loadedPRT(rng, ports, 6, 2) }
+
+// loadedPRT is prtScenario with up to maxPreloads preloaded reservations and
+// the preloads and Blocks drawn over [0, span).
+func loadedPRT(rng *rand.Rand, ports, maxPreloads int, span float64) *PRT {
 	prt := NewPRT(ports)
 	blackout := rng.Intn(2) == 0
 	if blackout {
@@ -36,8 +40,8 @@ func prtScenario(rng *rand.Rand, ports int) *PRT {
 	}
 	// Preloads: short reservations scattered over the near future, placed
 	// with TryReserve so colliding draws are simply skipped.
-	for k, n := 0, rng.Intn(6); k < n; k++ {
-		start := rng.Float64() * 2
+	for k, n := 0, rng.Intn(maxPreloads); k < n; k++ {
+		start := rng.Float64() * span
 		_ = prt.TryReserve(Reservation{
 			CoflowID: -100 - k,
 			In:       rng.Intn(ports),
@@ -53,7 +57,7 @@ func prtScenario(rng *rand.Rand, ports int) *PRT {
 	// check never fires — in both implementations), so +Inf outages are only
 	// drawn on blackout-free tables, where they surface as ErrStalled.
 	for k, n := 0, rng.Intn(3); k < n; k++ {
-		start := rng.Float64() * 2
+		start := rng.Float64() * span
 		end := start + 0.1 + rng.Float64()
 		if !blackout && rng.Intn(8) == 0 {
 			end = math.Inf(1)
@@ -144,6 +148,72 @@ func TestQuickFastMatchesReferenceIntra(t *testing.T) {
 			return false
 		}
 		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: quickCount}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickFastMatchesReferenceIntraWide holds the fast path to the reference
+// on Coflows of 65 to 600 demands, so the wake bitset spans several words
+// and its lo/hi bounds move. Tables carry preloads, Blocks and blackouts;
+// half are compacted, and half of those are searched from an opts.Start
+// before the horizon, so the port cursors take their archive fallback. Each
+// trial then runs a narrow pass on a table of a different port count, so the
+// pooled scratch is reused across table sizes.
+func TestQuickFastMatchesReferenceIntraWide(t *testing.T) {
+	check := func(seed int64, c *coflow.Coflow, opts Options, build func() *PRT) bool {
+		fastPRT, refPRT := build(), build()
+		fast, fastErr := IntraCoflow(fastPRT, c, opts)
+		refOpts := opts
+		refOpts.Reference = true
+		ref, refErr := IntraCoflow(refPRT, c, refOpts)
+		if (fastErr == nil) != (refErr == nil) {
+			t.Logf("seed %d: error divergence fast=%v ref=%v", seed, fastErr, refErr)
+			return false
+		}
+		if fastErr != nil {
+			return fastErr.Error() == refErr.Error()
+		}
+		if !sameSchedule(fast, ref) {
+			t.Logf("seed %d: %d-flow schedules diverge", seed, len(c.Flows))
+			return false
+		}
+		if !samePRT(fastPRT, refPRT) {
+			t.Logf("seed %d: PRTs diverge", seed)
+			return false
+		}
+		return true
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ports := 26 + rng.Intn(40) // ports² > 600
+		c := randomCoflow(rng, 1, 1)
+		for len(c.Flows) < 65 {
+			c = randomCoflow(rng, ports, 600)
+		}
+		opts := randomOptions(rng)
+		h := math.Inf(-1)
+		if rng.Intn(2) == 0 {
+			h = 0.5 + 2*rng.Float64()
+			if rng.Intn(2) == 0 {
+				opts.Start = h * rng.Float64()
+			}
+		}
+		tableSeed := rng.Int63()
+		wide := func() *PRT {
+			prt := loadedPRT(rand.New(rand.NewSource(tableSeed)), ports, 4*ports, 4)
+			prt.CompactBefore(h)
+			return prt
+		}
+		if !check(seed, c, opts, wide) {
+			return false
+		}
+		narrow := 3 + rng.Intn(8)
+		c = randomCoflow(rng, narrow, 2*narrow)
+		opts = randomOptions(rng)
+		tableSeed = rng.Int63()
+		return check(seed, c, opts, func() *PRT { return prtScenario(rand.New(rand.NewSource(tableSeed)), narrow) })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: quickCount}); err != nil {
 		t.Fatal(err)

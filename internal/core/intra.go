@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -393,20 +394,50 @@ func evPop(ev *[]portEvent) portEvent {
 	return top
 }
 
+// portSlot is the fast path's working state for one side of one port: the
+// unfinished demands touching it, a cursor into its timeline, and its
+// free/busy status memoized for one round.
+type portSlot struct {
+	dem   []int32 // unfinished demand indices on this port, unordered
+	n     int32   // live demands at the start of the pass: dem's size
+	cur   cursor
+	round uint64 // the round whose status free holds
+	free  bool
+}
+
 // intraScratch is the reusable working set of one fast-path scheduling pass.
 // Pooling it makes IntraCoflow near-zero-alloc per pass in the inter-Coflow
 // driver, which calls it once per live Coflow per replan.
 type intraScratch struct {
 	pending []demand
-	byIn    [][]int32 // pending-demand indices per input port
-	byOut   [][]int32 // pending-demand indices per output port
-	events  []portEvent
-	cand    []int32
-	woken   []bool
-	ends    []float64
+	in, out []portSlot // per input / output port
+	// pos[2di] and pos[2di+1] are demand di's indices in its input and
+	// output port's dem list, so a finished demand is swap-deleted in O(1).
+	pos    []int32
+	demBuf []int32  // backing array of every portSlot.dem
+	wake   []uint64 // bitset of demand indices to examine next round
+	events []portEvent
+	ends   []float64
+	// round numbers rounds across every pass run on this scratch, so a
+	// portSlot stamped in an earlier pass never reads as current.
+	round uint64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(intraScratch) }}
+
+// intraPass is one fast-path scheduling pass over a pooled scratch.
+type intraPass struct {
+	*intraScratch
+	prt   *PRT
+	c     *coflow.Coflow
+	opts  *Options
+	sched *Schedule
+	t     float64 // the current round instant
+	bNext float64 // the first blackout start after t, when a blackout is installed
+	// remaining counts unfinished demands; lo and hi bound the words of wake
+	// holding set bits (lo > hi when none are).
+	remaining, lo, hi int
+}
 
 // intraFast is the event-driven implementation of the Algorithm 1 loop.
 // Pending demands are indexed by input and output port; a circuit release
@@ -416,11 +447,15 @@ var scratchPool = sync.Pool{New: func() any { return new(intraScratch) }}
 // δ, blackout — stays unschedulable until one of its ports releases or a
 // blackout window ends, so waking that (super)set reproduces the reference
 // path's reservation sequence exactly.
+//
+// Each round costs O(woken demands): port status comes from per-port cursors
+// memoized per round rather than from PRT searches, and the wake bitset
+// yields candidates in demand order without a sort. See DESIGN.md §7.
 func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
 	s := scratchPool.Get().(*intraScratch)
 	defer scratchPool.Put(s)
 
-	pending := buildPending(s.pending[:0], c, opts)
+	pending := buildPending(slices.Grow(s.pending[:0], len(c.Flows)), c, opts)
 	s.pending = pending
 	sched := newSchedule(c, opts, len(pending))
 	if len(pending) == 0 {
@@ -429,74 +464,107 @@ func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
 	sched.Reservations = make([]Reservation, 0, len(pending))
 
 	n := prt.n
-	if cap(s.byIn) < n {
-		s.byIn = make([][]int32, n)
-		s.byOut = make([][]int32, n)
+	if cap(s.in) < n {
+		ports := make([]portSlot, 2*n)
+		s.in, s.out = ports[:n:n], ports[n:]
 	}
-	byIn, byOut := s.byIn[:n], s.byOut[:n]
-	for p := 0; p < n; p++ {
-		byIn[p] = byIn[p][:0]
-		byOut[p] = byOut[p][:0]
+	s.in, s.out = s.in[:n], s.out[:n]
+	for q := 0; q < n; q++ {
+		s.in[q] = portSlot{round: s.in[q].round}
+		s.out[q] = portSlot{round: s.out[q].round}
 	}
+	if cap(s.pos) < 2*len(pending) {
+		buf := make([]int32, 4*len(pending))
+		s.pos, s.demBuf = buf[:0:2*len(pending)], buf[2*len(pending):]
+	}
+	s.pos = s.pos[:2*len(pending)]
 	// Index live demands by port. A demand already at the noise floor is
 	// dropped up front — the reference scan never reserves for it and
 	// records no finish — so remaining counts exactly the schedulable work.
+	// Each demand is numbered within its two ports first; the port lists are
+	// then carved from one backing array at their exact sizes, so a cold
+	// scratch costs one allocation rather than a growing list per port.
 	remaining := 0
 	for di := range pending {
-		if pending[di].p <= timeEps {
+		d := &pending[di]
+		if d.p <= timeEps {
 			continue
 		}
 		remaining++
-		byIn[pending[di].i] = append(byIn[pending[di].i], int32(di))
-		byOut[pending[di].j] = append(byOut[pending[di].j], int32(di))
+		in, out := &s.in[d.i], &s.out[d.j]
+		s.pos[2*di], s.pos[2*di+1] = in.n, out.n
+		in.n++
+		out.n++
 	}
 	if remaining == 0 {
 		return sched, nil
 	}
+	off := int32(0)
+	for q := 0; q < n; q++ {
+		for _, ps := range [2]*portSlot{&s.in[q], &s.out[q]} {
+			ps.dem = s.demBuf[off : off+ps.n : off+ps.n]
+			off += ps.n
+		}
+	}
+	for di := range pending {
+		if d := &pending[di]; d.p > timeEps {
+			s.in[d.i].dem[s.pos[2*di]] = int32(di)
+			s.out[d.j].dem[s.pos[2*di+1]] = int32(di)
+		}
+	}
 
 	// Seed the event heap with existing commitments on the touched ports and
 	// pre-grow their timelines for the reservations this pass will insert.
-	events := s.events[:0]
-	for p := 0; p < n; p++ {
-		if len(byIn[p]) > 0 {
-			tl := &prt.in[p]
-			tl.grow(2*len(byIn[p]) + 2)
+	s.events = slices.Grow(s.events[:0], remaining)
+	for q := 0; q < n; q++ {
+		if k := len(s.in[q].dem); k > 0 {
+			tl := &prt.in[q]
+			tl.grow(2*k + 2)
 			s.ends = tl.endsAfter(opts.Start, s.ends[:0])
 			for _, e := range s.ends {
-				evPush(&events, portEvent{t: e, in: int32(p), out: -1})
+				evPush(&s.events, portEvent{t: e, in: int32(q), out: -1})
 			}
 		}
-		if len(byOut[p]) > 0 {
-			tl := &prt.out[p]
-			tl.grow(2*len(byOut[p]) + 2)
+		if k := len(s.out[q].dem); k > 0 {
+			tl := &prt.out[q]
+			tl.grow(2*k + 2)
 			s.ends = tl.endsAfter(opts.Start, s.ends[:0])
 			for _, e := range s.ends {
-				evPush(&events, portEvent{t: e, in: -1, out: int32(p)})
+				evPush(&s.events, portEvent{t: e, in: -1, out: int32(q)})
 			}
 		}
 	}
 
-	if cap(s.woken) < len(pending) {
-		s.woken = make([]bool, len(pending))
+	words := (len(pending) + 63) >> 6
+	if cap(s.wake) < words {
+		s.wake = make([]uint64, words)
 	}
-	woken := s.woken[:len(pending)]
-	clear(woken)
-	cand := s.cand[:0]
+	s.wake = s.wake[:words]
+	clear(s.wake)
 
+	p := intraPass{intraScratch: s, prt: prt, c: c, opts: &opts, sched: sched, remaining: remaining, lo: words, hi: -1}
 	t := opts.Start
 	wakeAll := true // the first round examines every demand
 	for {
-		if wakeAll {
-			for di := range pending {
-				remaining = examine(prt, c, &opts, sched, &pending[di], &events, t, remaining)
-			}
-		} else {
-			for _, di := range cand {
-				woken[di] = false
-				remaining = examine(prt, c, &opts, sched, &pending[di], &events, t, remaining)
-			}
+		s.round++
+		p.t = t
+		// A blackout covering t makes every port busy (PRT.FreeAt), so the
+		// round reserves nothing: its woken demands are simply consumed.
+		blocked := prt.blackout != nil && prt.blackout.Covers(t)
+		if prt.blackout != nil && !blocked {
+			p.bNext = prt.blackout.NextStart(t)
 		}
-		if remaining == 0 {
+		switch {
+		case blocked:
+			p.drainWoken(false)
+		case wakeAll:
+			for di := range pending {
+				p.examine(di)
+			}
+		default:
+			p.drainWoken(true)
+		}
+		if p.remaining == 0 {
 			break
 		}
 
@@ -504,67 +572,92 @@ func intraFast(prt *PRT, c *coflow.Coflow, opts Options) (*Schedule, error) {
 		// reference does; then wake the demands that instant can unblock.
 		blk := prt.nextBlackoutEnd(t)
 		next := blk
-		if len(events) > 0 && events[0].t < next {
-			next = events[0].t
+		if len(s.events) > 0 && s.events[0].t < next {
+			next = s.events[0].t
 		}
 		if math.IsInf(next, 1) {
-			return nil, fmt.Errorf("%w: %d flows blocked at t=%.6f for %v", ErrStalled, remaining, t, c)
+			return nil, fmt.Errorf("%w: %d flows blocked at t=%.6f for %v", ErrStalled, p.remaining, t, c)
 		}
 		t = next
 		// A blackout end frees every port at once: all demands may have
 		// become schedulable, so this round examines them all.
 		wakeAll = blk <= t+timeEps
-		cand = cand[:0]
-		for len(events) > 0 && events[0].t <= t+timeEps {
-			e := evPop(&events)
+		for len(s.events) > 0 && s.events[0].t <= t+timeEps {
+			e := evPop(&s.events)
 			if wakeAll {
 				continue
 			}
 			if e.in >= 0 {
-				for _, di := range byIn[e.in] {
-					if !woken[di] && pending[di].p > timeEps {
-						woken[di] = true
-						cand = append(cand, di)
-					}
-				}
+				p.wakeOn(s.in[e.in].dem)
 			}
 			if e.out >= 0 {
-				for _, di := range byOut[e.out] {
-					if !woken[di] && pending[di].p > timeEps {
-						woken[di] = true
-						cand = append(cand, di)
-					}
-				}
+				p.wakeOn(s.out[e.out].dem)
 			}
 		}
-		if !wakeAll {
-			// The reference examines demands in slice order; restore it.
-			slices.Sort(cand)
-		}
 	}
-	s.cand, s.events = cand, events[:0]
+	s.events = s.events[:0]
 	return sched, nil
 }
 
-// examine is one demand visit of the Algorithm 1 loop at round instant t:
-// reserve the longest admissible slot if the ports are free, mirroring
-// intraScan's inner loop statement for statement. It returns the updated
-// count of unfinished demands.
-func examine(prt *PRT, c *coflow.Coflow, opts *Options, sched *Schedule, d *demand, events *[]portEvent, t float64, remaining int) int {
-	if d.p <= timeEps || !prt.FreeAt(d.i, d.j, t) {
-		return remaining
+// wakeOn marks the demands for examination next round.
+func (p *intraPass) wakeOn(dem []int32) {
+	for _, di := range dem {
+		w := int(di >> 6)
+		p.wake[w] |= 1 << (uint(di) & 63)
+		p.lo, p.hi = min(p.lo, w), max(p.hi, w)
 	}
-	tm := prt.NextCommitment(d.i, d.j, t)
+}
+
+// drainWoken empties the wake bitset, examining each woken demand in
+// ascending index order — the reference scan's order — when examine is set.
+func (p *intraPass) drainWoken(examine bool) {
+	for w := p.lo; w <= p.hi; w++ {
+		x := p.wake[w]
+		p.wake[w] = 0
+		for ; examine && x != 0; x &= x - 1 {
+			p.examine(w<<6 | bits.TrailingZeros64(x))
+		}
+	}
+	p.lo, p.hi = len(p.wake), -1
+}
+
+// free reports whether the port is free at the round instant, querying its
+// timeline through the cursor at most once per round.
+func (p *intraPass) free(ps *portSlot, tl *timeline) bool {
+	if ps.round != p.round {
+		ps.cur.seek(tl, p.t)
+		ps.round, ps.free = p.round, ps.cur.freeAt(tl, p.t)
+	}
+	return ps.free
+}
+
+// examine is one demand visit of the Algorithm 1 loop at the round instant:
+// reserve the longest admissible slot if the ports are free, mirroring
+// intraScan's inner loop statement for statement. PRT.FreeAt and
+// PRT.NextCommitment are answered by the port cursors; the round loop has
+// already ruled out a blackout covering the instant.
+func (p *intraPass) examine(di int) {
+	d := &p.pending[di]
+	in, out := &p.in[d.i], &p.out[d.j]
+	tlIn, tlOut := &p.prt.in[d.i], &p.prt.out[d.j]
+	if d.p <= timeEps || !p.free(in, tlIn) || !p.free(out, tlOut) {
+		return
+	}
+	t, opts := p.t, p.opts
+	tm := math.Min(in.cur.nextStart(tlIn, t), out.cur.nextStart(tlOut, t))
+	if p.prt.blackout != nil {
+		tm = math.Min(tm, p.bNext)
+	}
 	lm := tm - t
 	ld := opts.Delta + d.p
 	// A slot shorter than δ (or exactly δ, which would carry no data) is
 	// useless: leave the ports free for another Coflow.
 	if lm <= opts.Delta+timeEps {
-		return remaining
+		return
 	}
 	l := math.Min(lm, ld)
 	r := Reservation{
-		CoflowID: c.ID,
+		CoflowID: p.c.ID,
 		In:       d.i,
 		Out:      d.j,
 		Start:    t,
@@ -572,8 +665,10 @@ func examine(prt *PRT, c *coflow.Coflow, opts *Options, sched *Schedule, d *dema
 		Setup:    opts.Delta,
 		Bytes:    (l - opts.Delta) * opts.LinkBps / 8,
 	}
-	prt.Reserve(r)
-	sched.Reservations = append(sched.Reservations, r)
+	p.prt.Reserve(r)
+	// Both ports are busy for the rest of the round.
+	in.free, out.free = false, false
+	p.sched.Reservations = append(p.sched.Reservations, r)
 	if o := opts.Obs; o != nil {
 		o.Reservations.Inc()
 		if l < ld-timeEps {
@@ -585,17 +680,30 @@ func examine(prt *PRT, c *coflow.Coflow, opts *Options, sched *Schedule, d *dema
 	// The release frees both ports; one event wakes the demands on either
 	// side. Reservations carry data (l > δ+eps), so r.End is strictly after
 	// this round and per-port release instants never collide.
-	evPush(events, portEvent{t: r.End, in: int32(d.i), out: int32(d.j)})
+	evPush(&p.events, portEvent{t: r.End, in: int32(d.i), out: int32(d.j)})
 	d.p -= l - opts.Delta // remaining demand: ld - l
 	if d.p <= timeEps {
 		d.p = 0
-		sched.FlowFinish[[2]int{d.i, d.j}] = r.End
-		remaining--
+		p.sched.FlowFinish[[2]int{d.i, d.j}] = r.End
+		p.remaining--
+		// Finished: no later release needs to wake it.
+		p.unlink(&in.dem, di, 0)
+		p.unlink(&out.dem, di, 1)
 	}
-	if r.End > sched.Finish {
-		sched.Finish = r.End
+	if r.End > p.sched.Finish {
+		p.sched.Finish = r.End
 	}
-	return remaining
+}
+
+// unlink swap-deletes demand di from a port's dem list; side selects the
+// input (0) or output (1) position slot.
+func (p *intraPass) unlink(dem *[]int32, di, side int) {
+	list := *dem
+	k := p.pos[2*di+side]
+	last := list[len(list)-1]
+	list[k] = last
+	p.pos[2*int(last)+side] = k
+	*dem = list[:len(list)-1]
 }
 
 // nextBlackoutEnd returns the end of the first blackout window after t, or

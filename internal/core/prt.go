@@ -126,6 +126,55 @@ func (tl *timeline) nextStart(t float64) float64 {
 	return tl.iv[i].start
 }
 
+// cursor is a forward-only position in one timeline's live window, for a
+// scheduling pass whose query time t never decreases. After seek(t), k is the
+// index of the first live interval with start > t — exactly what searchAfter(t)
+// would return — so freeAt and nextStart answer as the timeline's own methods
+// do without a binary search. Advancing over intervals the rising t passes is
+// amortized O(1) per query. An interval inserted at the sought t lands at
+// index k (or in the archive, leaving the live window alone), and the next
+// seek steps over it, so inserts need no bookkeeping. The zero value is
+// unanchored.
+type cursor struct {
+	k        int32
+	anchored bool
+}
+
+// seek moves the cursor to t, which must not precede the last t sought in
+// this pass. The first seek anchors it with one binary search.
+func (c *cursor) seek(tl *timeline, t float64) {
+	if !c.anchored {
+		c.k, c.anchored = int32(tl.searchAfter(t)), true
+		return
+	}
+	for int(c.k) < len(tl.iv) && tl.iv[c.k].start <= t {
+		c.k++
+	}
+}
+
+// freeAt is tl.freeAt(t) for a cursor sought to t. A query preceding the
+// whole live window (k == 0) falls back to the timeline, which consults the
+// archive.
+func (c *cursor) freeAt(tl *timeline, t float64) bool {
+	if c.k > 0 {
+		return tl.iv[c.k-1].end <= t+timeEps
+	}
+	return tl.freeAt(t)
+}
+
+// nextStart is tl.nextStart(t) for a cursor sought to t. When an archived
+// interval starts after t the archive holds the answer, so the timeline
+// answers.
+func (c *cursor) nextStart(tl *timeline, t float64) float64 {
+	if n := len(tl.old); n > 0 && tl.old[n-1].start > t {
+		return tl.nextStart(t)
+	}
+	if int(c.k) == len(tl.iv) {
+		return math.Inf(1)
+	}
+	return tl.iv[c.k].start
+}
+
 // insert adds the interval [start, end) and reports whether it was free of
 // overlap. Insertion keeps both halves sorted: an interval sorting before an
 // archived one is spliced into the archive so the old-before-live start order
@@ -656,8 +705,7 @@ func (tl *timeline) matchSpans(spans []PortSpan, t, horizon float64, port int32,
 		}
 	}
 	// The snapshot must hold nothing more for this timeline.
-	if sp, ok := next(); ok {
-		_ = sp
+	if _, ok := next(); ok {
 		return spans, false
 	}
 	return spans, true

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+	"testing/quick"
 )
 
 func TestTimelineInsertAndQueries(t *testing.T) {
@@ -226,5 +228,52 @@ func TestPRTBusyTime(t *testing.T) {
 	}
 	if got := p.busyTime(1, 0, 10); got != 0 {
 		t.Fatalf("busyTime idle port = %v", got)
+	}
+}
+
+// TestQuickCursorMatchesTimeline drives a cursor over rising query times on a
+// random, sometimes compacted timeline, inserting at the cursor's instant
+// whenever the port is free, and requires every seek to land on
+// searchAfter(t) and every answer to equal the timeline's own freeAt and
+// nextStart. Queries start before the compaction horizon, so the archive
+// fallbacks and archive-side inserts are exercised too.
+func TestQuickCursorMatchesTimeline(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var tl timeline
+		for k, n := 0, rng.Intn(40); k < n; k++ {
+			s := rng.Float64() * 10
+			tl.insert(s, s+0.05+rng.Float64()*0.5, 0)
+		}
+		if rng.Intn(2) == 0 {
+			tl.compact(rng.Float64() * 5)
+		}
+		var c cursor
+		for q := rng.Float64(); q < 12; q += rng.Float64() * 0.3 {
+			// Sometimes repeat an instant, as a round queries it twice.
+			for rep := 0; rep < 1+rng.Intn(2); rep++ {
+				c.seek(&tl, q)
+				if int(c.k) != tl.searchAfter(q) {
+					t.Logf("seed %d: t=%v cursor at %d, searchAfter %d", seed, q, c.k, tl.searchAfter(q))
+					return false
+				}
+				free, next := c.freeAt(&tl, q), c.nextStart(&tl, q)
+				if free != tl.freeAt(q) || next != tl.nextStart(q) {
+					t.Logf("seed %d: t=%v cursor (%v, %v), timeline (%v, %v)", seed, q, free, next, tl.freeAt(q), tl.nextStart(q))
+					return false
+				}
+				if free && next-q > 0.01 && rng.Intn(2) == 0 {
+					end := math.Min(next, q+0.01+rng.Float64()*0.3)
+					if !tl.insert(q, end, 1) {
+						t.Logf("seed %d: insert at free instant %v rejected", seed, q)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: quickCount}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 
 	"sunflow/internal/coflow"
@@ -134,8 +133,7 @@ type EngineConfig struct {
 	// to invoke the intra scheduler for every live Coflow (DESIGN.md §7).
 	// Schedules are bit-identical either way — the differential property
 	// tests pin it — so this is a debugging/benchmarking knob, not part of
-	// the config identity snapshots are checked against. The
-	// SUNFLOW_FULL_REPLAN environment variable forces it process-wide.
+	// the config identity snapshots are checked against.
 	FullReplan bool `json:"full_replan,omitempty"`
 }
 
@@ -243,7 +241,7 @@ type Engine struct {
 	prt *core.PRT
 	// incremental enables dirty-prefix schedule reuse while the fabric is
 	// fault-free (outages force the full rebuild); fixed at construction
-	// from the config and the SUNFLOW_FULL_REPLAN environment variable.
+	// from the config.
 	incremental bool
 	// cache holds the previous pass's per-Coflow schedules in policy order.
 	cache []planCacheEntry
@@ -265,7 +263,7 @@ func NewEngine(cfg EngineConfig, o *obs.Observer) (*Engine, error) {
 		done:        map[int]Completion{},
 		prt:         core.NewPRT(cfg.Ports),
 		obs:         o,
-		incremental: !cfg.FullReplan && os.Getenv("SUNFLOW_FULL_REPLAN") == "",
+		incremental: !cfg.FullReplan,
 	}, nil
 }
 

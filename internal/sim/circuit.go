@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"time"
 
@@ -45,8 +44,7 @@ type CircuitOptions struct {
 	// as the pre-incremental simulator did. Results, traces and archive
 	// digests are bit-identical either way (see DESIGN.md §7); the
 	// differential property tests and the scale-smoke digest gate exercise
-	// this switch. The environment variable SUNFLOW_FULL_REPLAN=1 forces it
-	// process-wide. Fault plans force it implicitly: outage repair rebuilds
+	// this switch. Fault plans force it implicitly: outage repair rebuilds
 	// the degraded table from scratch each pass.
 	FullReplan bool
 	// Obs optionally records metrics and trace events. Nil disables all
@@ -152,8 +150,7 @@ func runCircuit(src Source, opts CircuitOptions, checkDups bool) (Result, error)
 		faults:      fm,
 		faultCursor: math.Inf(-1),
 		prt:         core.NewPRT(opts.Ports),
-		incremental: fm == nil && !opts.Reference && !opts.FullReplan &&
-			os.Getenv("SUNFLOW_FULL_REPLAN") == "",
+		incremental: fm == nil && !opts.Reference && !opts.FullReplan,
 	}
 	if o := opts.Obs; o != nil {
 		defer func() { o.SimEvents.Add(int64(res.Events)) }()
@@ -336,8 +333,8 @@ type circuitState struct {
 	// allocation-free on the timelines.
 	prt *core.PRT
 	// incremental enables dirty-prefix schedule reuse across passes. It is
-	// false when a fault plan, Reference, FullReplan or SUNFLOW_FULL_REPLAN
-	// forces the retained full-rebuild pass (DESIGN.md §7).
+	// false when a fault plan, Reference or FullReplan forces the retained
+	// full-rebuild pass (DESIGN.md §7).
 	incremental bool
 	// cache holds the previous successful pass's per-Coflow outcomes in
 	// policy order; empty while incremental is off.
