@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"testing/quick"
 
 	"sunflow/internal/coflow"
 	"sunflow/internal/obs"
+	"sunflow/internal/obs/replay"
 	"sunflow/internal/sim"
 	"sunflow/internal/trace"
 )
@@ -95,6 +97,144 @@ func TestEngineMatchesSimulator(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestQuickEngineMatchesSimulator widens TestEngineMatchesSimulator into a
+// property over fabric size, Coflow width, δ (zero included) and arrivals
+// rounded to the millisecond, so several registrations often land on one
+// instant. The per-Coflow results and the circuit and delivery counters
+// must be bit-identical; pass counts are not compared, because the Engine
+// replans once per registration where the simulator replans once per
+// instant.
+func TestQuickEngineMatchesSimulator(t *testing.T) {
+	f := func(seed int64, portsRaw, widthRaw, deltaRaw uint8) bool {
+		ports := 4 + int(portsRaw)%13
+		deltas := []float64{0, 0.001, 0.01, 0.05}
+		cfg := EngineConfig{Ports: ports, LinkBps: 1e9, Delta: deltas[int(deltaRaw)%len(deltas)]}
+		tr := trace.Generator{Ports: ports, Coflows: 24, HorizonSec: 0.05, MaxWidth: 1 + int(widthRaw)%6, Seed: seed}.Trace()
+		for _, c := range tr.Coflows {
+			c.Arrival = math.Round(c.Arrival*1000) / 1000
+		}
+
+		so := obs.New()
+		ref, err := sim.RunCircuit(tr.Coflows, sim.CircuitOptions{Ports: ports, LinkBps: cfg.LinkBps, Delta: cfg.Delta, Obs: so})
+		if err != nil {
+			t.Logf("seed %d: sim: %v", seed, err)
+			return false
+		}
+		eo := obs.New()
+		e, err := NewEngine(cfg, eo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One final advance, not drain's stepwise ones: an advance to an
+		// instant between internal events splits a credit interval the
+		// simulator credits whole, and the split moves delivered-byte sums
+		// by an ulp.
+		for _, c := range tr.Coflows {
+			flows := make([]FlowSpec, 0, len(c.Flows))
+			for _, f := range c.Flows {
+				flows = append(flows, FlowSpec{Src: f.Src, Dst: f.Dst, Bytes: f.Bytes})
+			}
+			if _, err := e.Apply(Event{Kind: KindRegister, At: c.Arrival, Coflow: c.ID, Flows: flows}); err != nil {
+				t.Fatalf("register coflow %d: %v", c.ID, err)
+			}
+		}
+		if _, err := e.Apply(Event{Kind: KindAdvance, At: 1e9}); err != nil {
+			t.Fatal(err)
+		}
+
+		got := e.Completions()
+		if len(got) != len(ref.CCT) {
+			t.Logf("seed %d: completions: engine %d, sim %d", seed, len(got), len(ref.CCT))
+			return false
+		}
+		for id, want := range ref.CCT {
+			c := got[id]
+			if c.CCT != want || c.Finish != ref.Finish[id] || c.Switches != ref.SwitchCount[id] {
+				t.Logf("seed %d coflow %d: engine %+v, sim cct %v finish %v switches %d",
+					seed, id, c, want, ref.Finish[id], ref.SwitchCount[id])
+				return false
+			}
+		}
+		for _, cmp := range []struct {
+			name      string
+			eng, simv float64
+		}{
+			{"circuit setups", float64(eo.CircuitSetups.Load()), float64(so.CircuitSetups.Load())},
+			{"hold seconds", eo.HoldSeconds.Load(), so.HoldSeconds.Load()},
+			{"planned bytes", eo.PlannedBytes.Load(), so.PlannedBytes.Load()},
+			{"bytes delivered", eo.BytesDelivered.Load(), so.BytesDelivered.Load()},
+			{"coflows completed", float64(eo.CoflowsCompleted.Load()), float64(so.CoflowsCompleted.Load())},
+		} {
+			if cmp.eng != cmp.simv {
+				t.Logf("seed %d: %s: engine %v, sim %v", seed, cmp.name, cmp.eng, cmp.simv)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEngineOutageTraceMatchesCounters runs an Engine with event tracing
+// through a transient outage that cuts an established circuit. The trace
+// must lint clean, and the setup and hold seconds replay reconstructs from it
+// must equal the live counters bit for bit — the truncated circuit's counters
+// are corrected to the hold it actually had. The link rate and sizes are
+// powers of two so every sum is exact whichever way it is grouped. A
+// circuit_down does not carry the bytes a truncated circuit delivered, so
+// the planned-bytes counter is checked against each traced circuit's
+// capacity over its traced hold at the link rate.
+func TestEngineOutageTraceMatchesCounters(t *testing.T) {
+	const gib = 1 << 30
+	cfg := EngineConfig{Ports: 4, LinkBps: 8 * gib, Delta: 0.25}
+	sink := &obs.SliceSink{}
+	o := obs.NewWith(obs.NewRegistry(), sink)
+	e, err := NewEngine(cfg, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range []Event{
+		{Kind: KindRegister, At: 0, Coflow: 1, Flows: []FlowSpec{{Src: 0, Dst: 1, Bytes: 4 * gib}}},
+		{Kind: KindRegister, At: 0, Coflow: 2, Flows: []FlowSpec{{Src: 2, Dst: 3, Bytes: 2 * gib}}},
+		{Kind: KindFault, At: 1.5, Port: 0, Duration: 1}, // cuts coflow 1's circuit mid-transmission
+		{Kind: KindAdvance, At: 20},
+	} {
+		if _, err := e.Apply(ev); err != nil {
+			t.Fatalf("%+v: %v", ev, err)
+		}
+	}
+	if c, ok := e.Completion(1); !ok || c.Finish != 5.5 {
+		t.Fatalf("coflow 1 = %+v (ok=%v), want finish 5.5 after the outage", c, ok)
+	}
+
+	a := replay.Analyze(sink.Events())
+	for _, v := range a.Violations {
+		t.Errorf("lint: %s", v)
+	}
+	s := a.Scope("")
+	if s == nil || len(s.PortOutages) != 1 || s.CircuitSetups != 3 {
+		t.Fatalf("trace does not show one outage and three circuits: %+v", s)
+	}
+	if got, want := s.SetupSeconds, o.SetupSeconds.Load(); got != want {
+		t.Errorf("SetupSeconds = %v, counter says %v", got, want)
+	}
+	if got, want := s.HoldSeconds, o.HoldSeconds.Load(); got != want {
+		t.Errorf("HoldSeconds = %v, counter says %v", got, want)
+	}
+	capacity := 0.0
+	for _, c := range s.Circuits {
+		capacity += math.Min(c.Bytes, (c.Hold()-c.Setup)*cfg.LinkBps/8)
+	}
+	if got := o.PlannedBytes.Load(); got != capacity {
+		t.Errorf("PlannedBytes = %v, traced circuits carry %v", got, capacity)
+	}
+	if got, want := o.BytesDelivered.Load(), float64(6*gib); got != want {
+		t.Errorf("BytesDelivered = %v, want %v", got, want)
 	}
 }
 

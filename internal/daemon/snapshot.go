@@ -9,6 +9,8 @@ import (
 
 	"sunflow/internal/core"
 	"sunflow/internal/fabric"
+	"sunflow/internal/fault"
+	"sunflow/internal/sim"
 )
 
 // This file encodes and restores Engine state for checkpoints. Two rules make
@@ -112,13 +114,14 @@ type engineState struct {
 
 // State exports the Engine for a checkpoint.
 func (e *Engine) State() engineState {
+	ss := e.st.State()
 	st := engineState{
-		Now:     e.now,
-		Live:    make([]liveState, 0, len(e.live)),
-		Plan:    append([]core.Reservation(nil), e.plan...),
+		Now:     ss.Now,
+		Live:    make([]liveState, 0, len(ss.Live)),
+		Plan:    ss.Plan,
 		Done:    make([]doneState, 0, len(e.done)),
 		Digest:  hex.EncodeToString(e.digest[:]),
-		Replans: e.replans,
+		Replans: ss.Passes,
 	}
 	// Plan order is scheduler-determined but serialization must be canonical;
 	// restore re-sorts by Start before crediting anyway (credit always does),
@@ -136,26 +139,21 @@ func (e *Engine) State() engineState {
 		}
 		return ra.Out < rb.Out
 	})
-	for _, id := range sortedIDs(e.live) {
-		lc := e.live[id]
-		ls := liveState{
-			ID:            lc.id,
-			Arrival:       lc.arrival,
-			Priority:      lc.priority,
-			Spec:          append([]FlowSpec(nil), lc.spec...),
-			Rem:           sortedFlowBytes(lc.rem),
-			FlowFinish:    sortedFlowTimes(lc.flowFinish),
-			Finish:        infFloat(lc.finish),
-			Switches:      lc.switches,
-			Stranded:      lc.stranded,
-			StrandedBytes: lc.strandedBytes,
-		}
-		if lc.base != nil {
-			// base is never empty while set (it clones a rem with in-flight
-			// demand), so omitempty cannot conflate it with unset.
-			ls.Base = sortedFlowBytes(lc.base)
-		}
-		st.Live = append(st.Live, ls)
+	for _, ls := range ss.Live {
+		reg := e.regs[ls.Coflow.ID]
+		st.Live = append(st.Live, liveState{
+			ID:            ls.Coflow.ID,
+			Arrival:       reg.arrival,
+			Priority:      reg.priority,
+			Spec:          append([]FlowSpec(nil), reg.spec...),
+			Rem:           sortedFlowBytes(ls.Rem),
+			Base:          sortedFlowBytes(ls.Base), // nil map → empty, omitted
+			FlowFinish:    sortedFlowTimes(ls.FlowFinish),
+			Finish:        infFloat(ls.Finish),
+			Switches:      ls.Switches,
+			Stranded:      ls.Stranded,
+			StrandedBytes: ls.StrandedBytes,
+		})
 	}
 	doneIDs := make([]int, 0, len(e.done))
 	for id := range e.done {
@@ -165,9 +163,9 @@ func (e *Engine) State() engineState {
 	for _, id := range doneIDs {
 		st.Done = append(st.Done, doneState{ID: id, Completion: e.done[id]})
 	}
-	for _, og := range e.outages {
+	for _, og := range ss.Outages {
 		os := outageState{Port: og.Port, Start: og.Start}
-		if og.permanent() {
+		if og.Permanent() {
 			os.Permanent = true
 		} else {
 			os.End = og.End
@@ -184,64 +182,52 @@ func (e *Engine) restoreState(st engineState) error {
 	if err != nil || len(digest) != len(e.digest) {
 		return fmt.Errorf("daemon: snapshot digest %q malformed", st.Digest)
 	}
-	live := make(map[int]*liveEntry, len(st.Live))
+	ss := sim.StepperState{
+		Now:    st.Now,
+		Live:   make([]sim.LiveState, 0, len(st.Live)),
+		Plan:   append([]core.Reservation(nil), st.Plan...),
+		Passes: st.Replans,
+	}
 	for _, ls := range st.Live {
-		lc := &liveEntry{
-			id:            ls.ID,
-			arrival:       ls.Arrival,
-			priority:      ls.Priority,
-			spec:          append([]FlowSpec(nil), ls.Spec...),
-			specHash:      hashSpec(ls.Priority, ls.Spec),
-			rem:           make(map[fabric.FlowKey]float64, len(ls.Rem)),
-			flowFinish:    make(map[fabric.FlowKey]float64, len(ls.FlowFinish)),
-			finish:        float64(ls.Finish),
-			switches:      ls.Switches,
-			stranded:      ls.Stranded,
-			strandedBytes: ls.StrandedBytes,
+		spec := append([]FlowSpec(nil), ls.Spec...)
+		e.regs[ls.ID] = &registration{arrival: ls.Arrival, priority: ls.Priority, spec: spec, hash: hashSpec(ls.Priority, spec)}
+		lv := sim.LiveState{
+			Coflow:        specCoflow(ls.ID, ls.Arrival, spec),
+			Rem:           make(map[fabric.FlowKey]float64, len(ls.Rem)),
+			FlowFinish:    make(map[fabric.FlowKey]float64, len(ls.FlowFinish)),
+			Finish:        float64(ls.Finish),
+			Switches:      ls.Switches,
+			Stranded:      ls.Stranded,
+			StrandedBytes: ls.StrandedBytes,
 		}
-		// Rem was serialized in (src, dst) order, so it doubles as the sorted
-		// key list remainderInto iterates. It lacks keys stranded before the
-		// checkpoint, but those are absent from rem on a live engine too and
-		// readers skip them either way.
-		lc.keys = make([]fabric.FlowKey, 0, len(ls.Rem))
 		for _, fb := range ls.Rem {
-			k := fabric.FlowKey{Src: fb.Src, Dst: fb.Dst}
-			lc.rem[k] = fb.Bytes
-			lc.keys = append(lc.keys, k)
+			lv.Rem[fabric.FlowKey{Src: fb.Src, Dst: fb.Dst}] = fb.Bytes
 		}
 		if len(ls.Base) > 0 {
-			lc.base = make(map[fabric.FlowKey]float64, len(ls.Base))
+			lv.Base = make(map[fabric.FlowKey]float64, len(ls.Base))
 			for _, fb := range ls.Base {
-				lc.base[fabric.FlowKey{Src: fb.Src, Dst: fb.Dst}] = fb.Bytes
+				lv.Base[fabric.FlowKey{Src: fb.Src, Dst: fb.Dst}] = fb.Bytes
 			}
 		}
 		for _, ft := range ls.FlowFinish {
-			lc.flowFinish[fabric.FlowKey{Src: ft.Src, Dst: ft.Dst}] = ft.T
+			lv.FlowFinish[fabric.FlowKey{Src: ft.Src, Dst: ft.Dst}] = ft.T
 		}
-		if _, dup := live[ls.ID]; dup {
-			return fmt.Errorf("daemon: snapshot lists coflow %d twice", ls.ID)
-		}
-		live[ls.ID] = lc
+		ss.Live = append(ss.Live, lv)
 	}
-	done := make(map[int]Completion, len(st.Done))
-	for _, ds := range st.Done {
-		done[ds.ID] = ds.Completion
-	}
-	outages := make([]outage, 0, len(st.Outages))
 	for _, os := range st.Outages {
 		end := os.End
 		if os.Permanent {
 			end = math.Inf(1)
 		}
-		outages = append(outages, outage{Port: os.Port, Start: os.Start, End: end})
+		ss.Outages = append(ss.Outages, fault.Outage{Port: os.Port, Start: os.Start, End: end})
 	}
-	e.now = st.Now
-	e.live = live
-	e.plan = append([]core.Reservation(nil), st.Plan...)
-	e.outages = outages
-	e.done = done
+	if err := e.st.Restore(ss); err != nil {
+		return fmt.Errorf("daemon: snapshot: %w", err)
+	}
+	for _, ds := range st.Done {
+		e.done[ds.ID] = ds.Completion
+	}
 	copy(e.digest[:], digest)
-	e.replans = st.Replans
 	return nil
 }
 

@@ -41,6 +41,15 @@ func (f PortFailure) Permanent() bool {
 	return f.Duration <= 0 || math.IsInf(f.Duration, 1)
 }
 
+// outage returns the failure's downtime interval, open-ended when permanent.
+func (f PortFailure) outage() Outage {
+	end := math.Inf(1)
+	if !f.Permanent() {
+		end = f.At + f.Duration
+	}
+	return Outage{Port: f.Port, Start: f.At, End: end}
+}
+
 // Plan configures fault injection for one simulation run. The zero value
 // injects nothing.
 type Plan struct {
@@ -232,39 +241,23 @@ func (p *Plan) Compile(ports int) (*Model, error) {
 	if ports <= 0 {
 		return nil, fmt.Errorf("fault: fabric must have at least one port, got %d", ports)
 	}
-	m := &Model{
-		plan:       *p,
-		outages:    make([][]Outage, ports),
-		permFrom:   make([]float64, ports),
-		maxRetries: p.MaxRetries,
-		degFactor:  p.DegradedFactor,
-		strFactor:  p.StragglerFactor,
-		attempts:   map[attemptKey]uint64{},
-		failBudget: p.FailFirstSetups,
+	m := NewModel(ports)
+	m.plan, m.failBudget = *p, p.FailFirstSetups
+	if p.MaxRetries != 0 {
+		m.maxRetries = p.MaxRetries
 	}
-	if m.maxRetries == 0 {
-		m.maxRetries = 3
+	if p.DegradedFactor != 0 {
+		m.degFactor = p.DegradedFactor
 	}
-	if m.degFactor == 0 {
-		m.degFactor = 0.5
+	if p.StragglerFactor != 0 {
+		m.strFactor = p.StragglerFactor
 	}
-	if m.strFactor == 0 {
-		m.strFactor = 0.5
-	}
-	for i := range m.permFrom {
-		m.permFrom[i] = math.Inf(1)
-	}
-
 	raw := make([][]Outage, ports)
 	for _, f := range p.PortFailures {
 		if f.Port >= ports {
 			return nil, fmt.Errorf("fault: port failure names port %d outside [0,%d)", f.Port, ports)
 		}
-		end := math.Inf(1)
-		if !f.Permanent() {
-			end = f.At + f.Duration
-		}
-		raw[f.Port] = append(raw[f.Port], Outage{Port: f.Port, Start: f.At, End: end})
+		raw[f.Port] = append(raw[f.Port], f.outage())
 	}
 	if p.TransientRate > 0 {
 		for port := 0; port < ports; port++ {
@@ -281,11 +274,36 @@ func (p *Plan) Compile(ports int) (*Model, error) {
 		}
 	}
 
-	seen := map[float64]bool{}
 	for port, os := range raw {
-		merged := mergeOutages(os)
-		m.outages[port] = merged
-		for _, o := range merged {
+		m.outages[port] = mergeOutages(os)
+	}
+	m.reindex()
+	return m, nil
+}
+
+// NewModel returns the model of a fabric without faults: no outages, setup
+// failures, degraded links or stragglers. Outages are added to it one at a
+// time with AddOutage as they are declared.
+func NewModel(ports int) *Model {
+	return &Model{
+		outages:    make([][]Outage, ports),
+		permFrom:   make([]float64, ports),
+		maxRetries: 3,
+		degFactor:  0.5,
+		strFactor:  0.5,
+		attempts:   map[attemptKey]uint64{},
+	}
+}
+
+// reindex rebuilds the per-port permanent-failure starts, the any-permanent
+// flag and the sorted boundary index from the merged per-port outages.
+func (m *Model) reindex() {
+	m.anyPerm = false
+	m.boundaries = m.boundaries[:0]
+	seen := map[float64]bool{}
+	for port, os := range m.outages {
+		m.permFrom[port] = math.Inf(1)
+		for _, o := range os {
 			if o.Permanent() {
 				m.anyPerm = true
 				m.permFrom[port] = o.Start
@@ -301,7 +319,6 @@ func (p *Plan) Compile(ports int) (*Model, error) {
 		}
 	}
 	sort.Float64s(m.boundaries)
-	return m, nil
 }
 
 // mergeOutages sorts and merges overlapping or touching outages; a permanent
@@ -419,30 +436,26 @@ func (m *Model) RestrictPorts(keep func(port int) bool) {
 	if m == nil {
 		return
 	}
-	m.anyPerm = false
-	m.boundaries = m.boundaries[:0]
-	seen := map[float64]bool{}
 	for port := range m.outages {
 		if !keep(port) {
 			m.outages[port] = nil
-			m.permFrom[port] = math.Inf(1)
-			continue
-		}
-		for _, o := range m.outages[port] {
-			if o.Permanent() {
-				m.anyPerm = true
-			}
-			if !seen[o.Start] {
-				seen[o.Start] = true
-				m.boundaries = append(m.boundaries, o.Start)
-			}
-			if !o.Permanent() && !seen[o.End] {
-				seen[o.End] = true
-				m.boundaries = append(m.boundaries, o.End)
-			}
 		}
 	}
-	sort.Float64s(m.boundaries)
+	m.reindex()
+}
+
+// AddOutage inserts one more outage into the model: it merges with the
+// port's existing outages exactly as Compile merges scripted ones
+// (overlapping or touching intervals fuse; a permanent outage, End = +Inf,
+// swallows everything after its start) and the boundary index is rebuilt.
+// The online daemon declares outages this way as fault events arrive.
+func (m *Model) AddOutage(o Outage) error {
+	if o.Port < 0 || o.Port >= len(m.outages) {
+		return fmt.Errorf("fault: outage names port %d outside [0,%d)", o.Port, len(m.outages))
+	}
+	m.outages[o.Port] = mergeOutages(append(append([]Outage(nil), m.outages[o.Port]...), o))
+	m.reindex()
+	return nil
 }
 
 // RateFactor returns the rate multiplier for a flow of the Coflow on the

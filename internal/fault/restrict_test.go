@@ -118,3 +118,52 @@ func TestRestrictPortsDropAllAndNil(t *testing.T) {
 	var nilModel *Model
 	nilModel.RestrictPorts(func(int) bool { return true }) // must not panic
 }
+
+// TestAddOutageMatchesCompile: adding outages one at a time to an empty
+// model yields the same merged outages, permanent starts and boundary index
+// as compiling them all at once.
+func TestAddOutageMatchesCompile(t *testing.T) {
+	fs := []PortFailure{
+		{Port: 1, At: 1, Duration: 2},
+		{Port: 1, At: 2.5, Duration: 2}, // overlaps the first: merges to [1, 4.5)
+		{Port: 3, At: 0.5, Duration: 0.1},
+		{Port: 3, At: 2},                // permanent
+		{Port: 3, At: 5, Duration: 1},   // swallowed by the permanent failure
+		{Port: 0, At: 4.5, Duration: 1}, // shares a boundary with port 1
+	}
+	want, err := (&Plan{PortFailures: fs}).Compile(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := NewModel(4)
+	for _, f := range fs {
+		if err := got.AddOutage(f.outage()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p := 0; p < 4; p++ {
+		if !reflect.DeepEqual(got.Outages(p), want.Outages(p)) {
+			t.Errorf("port %d: outages %v, compiled %v", p, got.Outages(p), want.Outages(p))
+		}
+		if got.PermanentFrom(p) != want.PermanentFrom(p) {
+			t.Errorf("port %d: permanent from %v, compiled %v", p, got.PermanentFrom(p), want.PermanentFrom(p))
+		}
+	}
+	if !got.AnyPermanent() {
+		t.Error("permanent outage lost")
+	}
+	for at := 0.0; !math.IsInf(at, 1); at = want.NextBoundary(at) {
+		if b := got.NextBoundary(at); b != want.NextBoundary(at) {
+			t.Errorf("NextBoundary(%v) = %v, compiled %v", at, b, want.NextBoundary(at))
+		}
+	}
+	if s := got.Setup(1, 0, 1, 1, 0.01); !s.Established || s.Setup != 0.01 {
+		t.Errorf("empty model failed a setup: %+v", s)
+	}
+	if f := got.RateFactor(1, 0, 1); f != 1 {
+		t.Errorf("empty model degrades a link: factor %v", f)
+	}
+	if err := got.AddOutage(Outage{Port: 4, Start: 1, End: 2}); err == nil {
+		t.Error("out-of-range port accepted")
+	}
+}

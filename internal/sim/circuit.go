@@ -117,145 +117,143 @@ func newResult() Result {
 	return Result{CCT: map[int]float64{}, Finish: map[int]float64{}, SwitchCount: map[int]int{}}
 }
 
-// runCircuit is the shared event loop behind RunCircuit (pre-validated slice,
-// checkDups false) and RunCircuitSource (lazy validation, checkDups true).
-// The loop holds at most one unadmitted Coflow from src at a time.
-func runCircuit(src Source, opts CircuitOptions, checkDups bool) (Result, error) {
+// runCircuit is the trace-driven front end of the Stepper, shared by
+// RunCircuit (pre-validated slice, checkDups false) and RunCircuitSource
+// (lazy validation, checkDups true). Each iteration jumps to the next
+// instant something happens — an arrival or one of the Stepper's internal
+// events — admits the arrivals due there and replans once. The loop holds at
+// most one unadmitted Coflow from src at a time.
+func runCircuit(src Source, opts CircuitOptions, checkDups bool) (res Result, err error) {
 	sp := opts.Prof.Start("sim.run").Attr("sim", "circuit")
 	defer sp.Finish()
-	res := newResult()
-	if err := checkCircuitOptions(opts); err != nil {
+	res = newResult()
+	// Stranded Coflows retire into Result.Partial, which the Stepper keeps,
+	// never into CCT or the archive.
+	s, err := NewStepper(opts, func(r Retired) {
+		if opts.OnArchive != nil {
+			if !r.Stranded {
+				opts.OnArchive(r.Archived)
+			}
+			return
+		}
+		if r.Switches > 0 {
+			res.SwitchCount[r.ID] = r.Switches
+		}
+		if !r.Stranded {
+			res.Finish[r.ID] = r.Finish
+			res.CCT[r.ID] = r.CCT
+		}
+	})
+	if err != nil {
 		return res, err
 	}
-	policy := opts.Policy
-	if policy == nil {
-		policy = core.ShortestFirst{LinkBps: opts.LinkBps}
-	}
-	fm := opts.faultModel
-	if fm == nil {
-		var err error
-		fm, err = opts.Faults.Compile(opts.Ports)
-		if err != nil {
-			return res, fmt.Errorf("sim: %w", err)
-		}
-	}
-
-	s := &circuitState{
-		opts:        opts,
-		policy:      policy,
-		res:         &res,
-		live:        map[int]*liveCoflow{},
-		src:         src,
-		checkDups:   checkDups,
-		faults:      fm,
-		faultCursor: math.Inf(-1),
-		prt:         core.NewPRT(opts.Ports),
-		incremental: fm == nil && !opts.Reference && !opts.FullReplan,
-	}
+	defer func() { res.Partial = s.partial }()
 	if o := opts.Obs; o != nil {
 		defer func() { o.SimEvents.Add(int64(res.Events)) }()
 	}
 
+	in := lookahead{src: src}
+	admit := func() error {
+		for {
+			c, err := in.peek()
+			if err != nil {
+				return err
+			}
+			if c == nil || c.Arrival > s.now+timeEps {
+				return nil
+			}
+			in.next = nil
+			if checkDups {
+				// The ordered-source contract catches equal-arrival duplicates;
+				// this catches a duplicate arriving while its twin is live or
+				// already retained in the Result maps. In OnArchive mode a
+				// duplicate arriving after its twin retired is the caller's
+				// contract to prevent (nothing is retained to detect it against).
+				_, inFinish := res.Finish[c.ID]
+				_, inCCT := res.CCT[c.ID]
+				if s.live[c.ID] != nil || inFinish || inCCT {
+					return fmt.Errorf("sim: duplicate coflow id %d", c.ID)
+				}
+			}
+			s.Admit(c)
+		}
+	}
+
 	t := 0.0
-	c0, err := s.peek()
+	c0, err := in.peek()
 	if err != nil {
 		return res, err
 	}
 	if c0 != nil {
 		t = c0.Arrival
 	}
-	if fm != nil {
+	if s.faults != nil {
 		if o := opts.Obs; o.TraceEnabled() {
 			o.Emit(obs.Event{T: t, Kind: obs.KindFaultInject, Coflow: -1, Src: -1, Dst: -1})
 		}
-		s.syncFaults(t)
 	}
-	if err := s.admit(t); err != nil {
+	s.jumpTo(t)
+	if err := admit(); err != nil {
 		return res, err
 	}
-	if fm != nil {
-		s.quarantine(t)
-		s.retire(t)
-	}
-	if err := s.replan(t); err != nil {
+	if err := s.Replan(); err != nil {
 		return res, err
 	}
-	tPrev := t
 
 	for ev := 0; ; ev++ {
 		if ev > maxEvents {
 			return res, fmt.Errorf("sim: circuit simulation exceeded %d events", maxEvents)
 		}
 		res.Events = ev
-
-		if len(s.live) == 0 {
-			nxt, err := s.peek()
-			if err != nil {
-				return res, err
-			}
-			if nxt == nil {
-				s.closeTrace(tPrev)
-				return res, nil
-			}
-			tPrev = nxt.Arrival
-			if fm != nil {
-				s.syncFaults(tPrev)
-			}
-			if err := s.admit(tPrev); err != nil {
-				return res, err
-			}
-			if fm != nil {
-				s.quarantine(tPrev)
-				s.retire(tPrev)
-			}
-			if err := s.replan(tPrev); err != nil {
-				return res, err
-			}
-			continue
-		}
-
-		// Next event: an arrival, a planned Coflow completion, a fair window
-		// boundary (fair service is not part of the plan, so demand must be
-		// re-credited and the plan refreshed there), or a port-outage edge.
-		te := math.Inf(1)
-		nxt, err := s.peek()
+		nxt, err := in.peek()
 		if err != nil {
 			return res, err
 		}
+		arrival := math.Inf(1)
 		if nxt != nil {
-			te = nxt.Arrival
+			arrival = nxt.Arrival
+		} else if len(s.live) == 0 {
+			s.closeTrace()
+			return res, nil
 		}
-		for _, lc := range s.live {
-			te = math.Min(te, lc.finish)
-		}
-		if opts.Fair != nil {
-			te = math.Min(te, opts.Fair.NextEnd(tPrev))
-		}
-		if fm != nil {
-			te = math.Min(te, fm.NextBoundary(tPrev))
-		}
-		if math.IsInf(te, 1) {
-			return res, fmt.Errorf("%w at t=%.6f (%d live coflows)", ErrStalled, tPrev, len(s.live))
-		}
-
-		s.credit(tPrev, te)
-		tPrev = te
-		if fm != nil {
-			s.syncFaults(te)
-			s.quarantine(te)
-		}
-		s.retire(te)
-		if err := s.admit(te); err != nil {
+		if err := s.stepToward(arrival); err != nil {
 			return res, err
 		}
-		if fm != nil {
-			s.quarantine(te)
-			s.retire(te)
+		if err := admit(); err != nil {
+			return res, err
 		}
-		if err := s.replan(te); err != nil {
+		if err := s.Replan(); err != nil {
 			return res, err
 		}
 	}
+}
+
+// lookahead holds the single not-yet-admitted Coflow pulled from a Source;
+// holding one record instead of the whole pending slice is what bounds
+// resident memory on streamed runs.
+type lookahead struct {
+	src  Source
+	next *coflow.Coflow
+	done bool
+}
+
+// peek returns the next unadmitted Coflow without consuming it, pulling at
+// most one record from the source. Source errors (read failures, invalid or
+// out-of-order Coflows on the streamed path) surface here, at the simulated
+// instant the record is first needed.
+func (l *lookahead) peek() (*coflow.Coflow, error) {
+	if l.next == nil && !l.done {
+		c, err := l.src.Next()
+		if err != nil {
+			return nil, err
+		}
+		if c == nil {
+			l.done = true
+		} else {
+			l.next = c
+		}
+	}
+	return l.next, nil
 }
 
 // liveCoflow tracks one admitted, unfinished Coflow.
@@ -273,10 +271,10 @@ type liveCoflow struct {
 	// with every credit window, so the incremental replanner fingerprints
 	// scheduler inputs derived from base (DESIGN.md §7). nil until the first
 	// in-flight byte is credited — until then it is bit-identical to rem and
-	// rem stands in for it. Fault runs never allocate base: degraded-rate
-	// delivery would make the exact folding drift from rem, and the two
-	// views could then disagree about whether a residual flow still needs
-	// scheduling (credit() has the full story).
+	// rem stands in for it. Base exists only while the Stepper has no fault
+	// view: degraded-rate delivery would make the exact folding drift from
+	// rem, and the two views could then disagree about whether a residual
+	// flow still needs scheduling (credit() has the full story).
 	base map[fabric.FlowKey]float64
 	// finish is the planned completion time under the current plan.
 	finish float64
@@ -291,12 +289,12 @@ type liveCoflow struct {
 	// stranded marks a Coflow that lost at least one flow to a permanent
 	// port failure: it retires into the PartialResult, never into CCT.
 	stranded bool
+	// strandedBytes is the demand of the flows it lost.
+	strandedBytes float64
 	// bytes is the Coflow's total positive demand at admission, reported in
 	// the archive record when OnArchive mode is on.
 	bytes float64
-	// switches counts circuit establishments made on this Coflow's behalf —
-	// the per-Coflow view of Result.SwitchCount, kept live so archive mode
-	// can retire it without the map.
+	// switches counts circuit establishments made on this Coflow's behalf.
 	switches int
 	// keys holds rem's flow keys in (Src, Dst) order, built once at
 	// admission. Stranding deletes rem entries without touching keys, so
@@ -304,43 +302,357 @@ type liveCoflow struct {
 	keys []fabric.FlowKey
 }
 
-// circuitState is the mutable simulation state.
-type circuitState struct {
+// newLive builds the live state of a Coflow with its full demand unserved,
+// or returns nil when the Coflow has no positive demand.
+func newLive(c *coflow.Coflow, tracing bool) *liveCoflow {
+	rem := make(map[fabric.FlowKey]float64, len(c.Flows))
+	total := 0.0
+	for _, f := range c.Flows {
+		if f.Bytes > 0 {
+			rem[fabric.FlowKey{Src: f.Src, Dst: f.Dst}] += f.Bytes
+			total += f.Bytes
+		}
+	}
+	if len(rem) == 0 {
+		return nil
+	}
+	keys := make([]fabric.FlowKey, 0, len(rem))
+	for k := range rem {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(a, b int) bool {
+		if keys[a].Src != keys[b].Src {
+			return keys[a].Src < keys[b].Src
+		}
+		return keys[a].Dst < keys[b].Dst
+	})
+	lc := &liveCoflow{
+		c:          c,
+		rem:        rem,
+		keys:       keys,
+		finish:     math.Inf(1),
+		flowFinish: make(map[fabric.FlowKey]float64, len(rem)),
+		bytes:      total,
+	}
+	if tracing {
+		lc.flowStarted = make(map[fabric.FlowKey]bool, len(rem))
+		lc.demand = make(map[fabric.FlowKey]float64, len(rem))
+		for k, b := range rem {
+			lc.demand[k] = b
+		}
+	}
+	return lc
+}
+
+// record is the Coflow's retirement record at the given finish instant.
+func (lc *liveCoflow) record(finish float64) Retired {
+	return Retired{
+		Archived: Archived{
+			ID:       lc.c.ID,
+			Arrival:  lc.c.Arrival,
+			Finish:   finish,
+			CCT:      finish - lc.c.Arrival,
+			Bytes:    lc.bytes,
+			Switches: lc.switches,
+		},
+		Stranded:      lc.stranded,
+		StrandedBytes: lc.strandedBytes,
+	}
+}
+
+// Retired is the record of one Coflow leaving a Stepper's live set: drained,
+// stranded, forcibly removed, or admitted with no demand at all.
+type Retired struct {
+	// Archived carries the completion: Finish is the instant the last flow
+	// drained (the removal instant for Remove) and CCT is Finish − Arrival.
+	Archived
+	// Stranded marks a Coflow that lost flows to a permanent port failure;
+	// its routable demand drained but StrandedBytes of it never will.
+	Stranded      bool
+	StrandedBytes float64
+}
+
+// Stepper is the deterministic circuit-scheduling event loop of Sunflow's
+// inter-Coflow scheduler: it owns the live Coflows, the plan, the PRT the
+// plan is rebuilt on, the plan cache, the per-Coflow remainders and the
+// fault view. Following §6, the schedule is recomputed only at events —
+// arrivals, planned completions, fair-window ends and outage edges — and
+// established circuits keep their reservations (non-preemption) while
+// reservations that have not yet begun are discarded and replanned against
+// the remaining demand of all live Coflows in priority order.
+//
+// Both front ends drive one: the trace simulator (runCircuit) feeds it a
+// Source, and the online daemon feeds it WAL-ordered events. The event API:
+//
+//   - Admit adds a Coflow at the current instant;
+//   - ArriveAt steps time to an arrival the way the simulator's loop does;
+//   - AdvanceTo moves time forward, and at every internal event on the way
+//     credits delivery, applies outage edges, quarantines, retires drained
+//     Coflows and replans;
+//   - Replan settles the current instant after admissions or removals;
+//   - Remove forcibly retires a live Coflow;
+//   - DeclareOutage adds a port outage to the fault view;
+//   - State and Restore export and import the resumable state.
+//
+// Retirements are reported through the callback given to NewStepper, in
+// deterministic order. A Stepper is not safe for concurrent use.
+type Stepper struct {
 	opts   CircuitOptions
 	policy core.Policy
-	res    *Result
 	live   map[int]*liveCoflow
-	// src streams the not-yet-admitted workload in (Arrival, ID) order; next
-	// is the single-Coflow lookahead and srcDone marks exhaustion. Holding
-	// one record instead of the whole pending slice is what bounds resident
-	// memory on streamed runs.
-	src     Source
-	next    *coflow.Coflow
-	srcDone bool
-	// checkDups enables admission-time duplicate-id detection on the
-	// streamed path (the slice path already rejected duplicates in prepare).
-	checkDups bool
+	// now is the current simulated instant.
+	now float64
+	// retired receives every Coflow leaving the live set.
+	retired func(Retired)
+	// partial accumulates stranded flows; nil until the first strand.
+	partial *PartialResult
 	// plan holds all reservations not yet fully credited: circuits in
 	// flight plus the planned future.
 	plan []core.Reservation
-	// faults is the compiled fault model; nil on a fault-free run, keeping
-	// every fault branch behind one nil-check.
+	// faults is the fault view; nil on a fault-free fabric, keeping every
+	// fault branch behind one nil-check.
 	faults *fault.Model
 	// faultCursor is the last outage boundary already applied to the plan.
 	faultCursor float64
+	// declared lists the outages added by DeclareOutage, in order, so State
+	// can carry them.
+	declared []fault.Outage
 	// prt is the reservation table rebuilt by every replan; reused across
 	// passes (Reset keeps the grown per-port capacity) so replanning is
 	// allocation-free on the timelines.
 	prt *core.PRT
-	// incremental enables dirty-prefix schedule reuse across passes. It is
-	// false when a fault plan, Reference or FullReplan forces the retained
-	// full-rebuild pass (DESIGN.md §7).
-	incremental bool
 	// cache holds the previous successful pass's per-Coflow outcomes in
-	// policy order; empty while incremental is off.
+	// policy order; empty while incremental reuse is off.
 	cache []planCacheEntry
 	// scratch pools the per-pass allocations of replanOnce.
 	scratch replanScratch
+	// passes counts scheduling passes attempted, stalled ones included.
+	passes uint64
+}
+
+// NewStepper validates the options, compiles the fault plan and returns an
+// empty Stepper at time zero. The Policy defaults as in CircuitOptions;
+// retired receives every Coflow that leaves the live set.
+func NewStepper(opts CircuitOptions, retired func(Retired)) (*Stepper, error) {
+	if err := checkCircuitOptions(opts); err != nil {
+		return nil, err
+	}
+	policy := opts.Policy
+	if policy == nil {
+		policy = core.ShortestFirst{LinkBps: opts.LinkBps}
+	}
+	fm := opts.faultModel
+	if fm == nil {
+		var err error
+		fm, err = opts.Faults.Compile(opts.Ports)
+		if err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
+	}
+	return &Stepper{
+		opts:        opts,
+		policy:      policy,
+		live:        map[int]*liveCoflow{},
+		retired:     retired,
+		faults:      fm,
+		faultCursor: math.Inf(-1),
+		prt:         core.NewPRT(opts.Ports),
+	}, nil
+}
+
+// Now returns the Stepper's current instant.
+func (s *Stepper) Now() float64 { return s.now }
+
+// Passes returns the number of scheduling passes run, stalled ones included.
+func (s *Stepper) Passes() uint64 { return s.passes }
+
+// Plan returns the current reservations: circuits in flight plus the planned
+// future. The slice is the Stepper's own; callers must not modify it, and it
+// is valid only until the next call that changes the Stepper.
+func (s *Stepper) Plan() []core.Reservation { return s.plan }
+
+// LiveCoflow is one live Coflow's externally visible state.
+type LiveCoflow struct {
+	ID            int
+	Arrival       float64
+	Remaining     float64 // unserved bytes, in-flight delivery included
+	PlannedFinish float64
+	Stranded      bool
+}
+
+// Live returns the live Coflows in id order.
+func (s *Stepper) Live() []LiveCoflow {
+	out := make([]LiveCoflow, 0, len(s.live))
+	for _, id := range sortedLiveIDs(s.live) {
+		lc := s.live[id]
+		rem := 0.0
+		for _, k := range lc.keys {
+			rem += lc.rem[k]
+		}
+		out = append(out, LiveCoflow{ID: id, Arrival: lc.c.Arrival, Remaining: rem, PlannedFinish: lc.finish, Stranded: lc.stranded})
+	}
+	return out
+}
+
+// Admit adds the Coflow to the live set at the current instant and reports
+// whether it joined; a Coflow without positive demand retires on the spot
+// (Finish = Arrival, CCT 0). The plan is not touched until the next Replan.
+// The caller guarantees the id is not live.
+func (s *Stepper) Admit(c *coflow.Coflow) bool {
+	o := s.opts.Obs
+	lc := newLive(c, o.TraceEnabled())
+	if lc == nil {
+		s.retired(Retired{Archived: Archived{ID: c.ID, Arrival: c.Arrival, Finish: c.Arrival}})
+		return false
+	}
+	if o != nil {
+		o.CoflowsAdmitted.Inc()
+		if o.TraceEnabled() {
+			o.Emit(obs.Event{T: s.now, Kind: obs.KindCoflowAdmit, Coflow: c.ID, Src: -1, Dst: -1, Bytes: c.TotalBytes()})
+		}
+	}
+	s.live[c.ID] = lc
+	return true
+}
+
+// Remove forcibly retires a live Coflow at the current instant, regardless
+// of its remaining demand, and returns its record (false when the id is not
+// live). Its established circuits keep their ports until they end; its
+// unstarted reservations go at the next Replan.
+func (s *Stepper) Remove(id int) (Retired, bool) {
+	lc := s.live[id]
+	if lc == nil {
+		return Retired{}, false
+	}
+	delete(s.live, id)
+	s.completed(lc, s.now)
+	return lc.record(s.now), true
+}
+
+// completed counts and traces a Coflow's completion; stranded Coflows
+// leave without one.
+func (s *Stepper) completed(lc *liveCoflow, finish float64) {
+	if o := s.opts.Obs; o != nil && !lc.stranded {
+		o.CoflowsCompleted.Inc()
+		if o.TraceEnabled() {
+			o.Emit(obs.Event{T: finish, Kind: obs.KindCoflowComplete, Coflow: lc.c.ID, Src: -1, Dst: -1, Dur: finish - lc.c.Arrival})
+		}
+	}
+}
+
+// nextEvent returns the Stepper's next internal event after now: a planned
+// Coflow completion, a fair window end (fair service is not part of the plan,
+// so demand must be re-credited and the plan refreshed there) or an outage
+// edge; +Inf when nothing is pending.
+func (s *Stepper) nextEvent() float64 {
+	te := math.Inf(1)
+	for _, lc := range s.live {
+		te = math.Min(te, lc.finish)
+	}
+	if s.opts.Fair != nil {
+		te = math.Min(te, s.opts.Fair.NextEnd(s.now))
+	}
+	if s.faults != nil {
+		te = math.Min(te, s.faults.NextBoundary(s.now))
+	}
+	return te
+}
+
+// moveTo credits delivery up to te, makes te the current instant, applies
+// the outage edges due there and retires the Coflows that drained.
+func (s *Stepper) moveTo(te float64) {
+	s.credit(s.now, te)
+	s.now = te
+	if s.faults != nil {
+		s.syncFaults(te)
+		s.quarantine(te)
+	}
+	s.retire(te)
+}
+
+// stepToward makes the next instant something happens the current one: the
+// earlier of the next internal event and the pending arrival at arrival
+// (+Inf when none). Delivery is credited up to it and outage edges,
+// quarantine and retirement applied there; the caller then admits what is
+// due and calls Replan. An idle fabric jumps straight to the arrival.
+func (s *Stepper) stepToward(arrival float64) error {
+	if len(s.live) == 0 {
+		s.jumpTo(arrival)
+		return nil
+	}
+	te := math.Min(s.nextEvent(), arrival)
+	if math.IsInf(te, 1) {
+		return fmt.Errorf("%w at t=%.6f (%d live coflows)", ErrStalled, s.now, len(s.live))
+	}
+	s.moveTo(te)
+	return nil
+}
+
+// ArriveAt steps time forward to an arrival at t exactly as the simulator's
+// event loop does: each internal event before the arrival is processed and
+// replanned, and the loop stops at the first instant within timeEps of t —
+// t itself, or an internal event just before it. The caller then admits the
+// arriving Coflow and calls Replan. An arrival at or before the current
+// instant leaves time where it is.
+func (s *Stepper) ArriveAt(t float64) error {
+	for step := 0; t > s.now+timeEps; step++ {
+		if step > maxEvents {
+			return fmt.Errorf("sim: arrival exceeded %d internal events at t=%.6f", maxEvents, s.now)
+		}
+		if err := s.stepToward(t); err != nil {
+			return err
+		}
+		if t <= s.now+timeEps {
+			return nil
+		}
+		if err := s.Replan(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// jumpTo makes t the current instant without crediting — the simulator's
+// step over an idle fabric — and applies the outage edges due by then.
+func (s *Stepper) jumpTo(t float64) {
+	s.now = t
+	s.syncFaults(t)
+}
+
+// AdvanceTo moves time forward to t. Every internal event at or before t is
+// processed in order — credit, outage edges, quarantine, retire, replan —
+// and delivery is then credited up to t without a further replan. An
+// instant at or before the current one changes nothing.
+func (s *Stepper) AdvanceTo(t float64) error {
+	for step := 0; ; step++ {
+		if step > maxEvents {
+			return fmt.Errorf("sim: advance exceeded %d internal events at t=%.6f", maxEvents, s.now)
+		}
+		te := s.nextEvent()
+		if math.IsInf(te, 1) || te > t+timeEps {
+			break
+		}
+		s.moveTo(te)
+		if err := s.Replan(); err != nil {
+			return err
+		}
+	}
+	if t > s.now {
+		s.credit(s.now, t)
+		s.now = t
+	}
+	return nil
+}
+
+// Replan settles the current instant: under faults, flows on permanently
+// dead ports are quarantined and drained Coflows retire first; then the plan
+// is rebuilt. A scheduler failure surfaces as ErrReplan.
+func (s *Stepper) Replan() error {
+	if s.faults != nil {
+		s.quarantine(s.now)
+		s.retire(s.now)
+	}
+	return s.replan(s.now)
 }
 
 // planCacheEntry records one Coflow's outcome in the previous scheduling
@@ -396,9 +708,9 @@ type replanScratch struct {
 	// sched is the remainder-with-exclusions scratch Coflow.
 	sched *coflow.Coflow
 	// nextCache accumulates this pass's cache entries, swapped into
-	// circuitState.cache on success.
+	// Stepper.cache on success.
 	nextCache []planCacheEntry
-	// cacheIdx maps Coflow id to its index in circuitState.cache, rebuilt
+	// cacheIdx maps Coflow id to its index in Stepper.cache, rebuilt
 	// each incremental pass.
 	cacheIdx map[int]int
 	// spans is the pre-run port-context snapshot buffer; ins and outs hold
@@ -407,102 +719,10 @@ type replanScratch struct {
 	ins, outs []int
 }
 
-// peek returns the next unadmitted Coflow without consuming it, pulling at
-// most one record from the source. Source errors (read failures, invalid or
-// out-of-order Coflows on the streamed path) surface here, at the simulated
-// instant the record is first needed.
-func (s *circuitState) peek() (*coflow.Coflow, error) {
-	if s.next == nil && !s.srcDone {
-		c, err := s.src.Next()
-		if err != nil {
-			return nil, err
-		}
-		if c == nil {
-			s.srcDone = true
-		} else {
-			s.next = c
-		}
-	}
-	return s.next, nil
-}
-
-// admit moves Coflows arriving at or before now into the live set.
-func (s *circuitState) admit(now float64) error {
-	for {
-		c, err := s.peek()
-		if err != nil {
-			return err
-		}
-		if c == nil || c.Arrival > now+timeEps {
-			return nil
-		}
-		s.next = nil
-		if s.checkDups {
-			// The ordered-source contract catches equal-arrival duplicates;
-			// this catches a duplicate arriving while its twin is live or
-			// already retained in the Result maps. In OnArchive mode a
-			// duplicate arriving after its twin retired is the caller's
-			// contract to prevent (nothing is retained to detect it against).
-			_, inFinish := s.res.Finish[c.ID]
-			_, inCCT := s.res.CCT[c.ID]
-			if s.live[c.ID] != nil || inFinish || inCCT {
-				return fmt.Errorf("sim: duplicate coflow id %d", c.ID)
-			}
-		}
-		rem := make(map[fabric.FlowKey]float64, len(c.Flows))
-		total := 0.0
-		for _, f := range c.Flows {
-			if f.Bytes > 0 {
-				rem[fabric.FlowKey{Src: f.Src, Dst: f.Dst}] += f.Bytes
-				total += f.Bytes
-			}
-		}
-		if len(rem) == 0 {
-			if cb := s.opts.OnArchive; cb != nil {
-				cb(Archived{ID: c.ID, Arrival: c.Arrival, Finish: c.Arrival})
-			} else {
-				s.res.CCT[c.ID] = 0
-				s.res.Finish[c.ID] = c.Arrival
-			}
-			continue
-		}
-		keys := make([]fabric.FlowKey, 0, len(rem))
-		for k := range rem {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(a, b int) bool {
-			if keys[a].Src != keys[b].Src {
-				return keys[a].Src < keys[b].Src
-			}
-			return keys[a].Dst < keys[b].Dst
-		})
-		lc := &liveCoflow{
-			c:          c,
-			rem:        rem,
-			keys:       keys,
-			finish:     math.Inf(1),
-			flowFinish: make(map[fabric.FlowKey]float64, len(rem)),
-			bytes:      total,
-		}
-		if o := s.opts.Obs; o != nil {
-			o.CoflowsAdmitted.Inc()
-			if o.TraceEnabled() {
-				lc.flowStarted = make(map[fabric.FlowKey]bool, len(rem))
-				lc.demand = make(map[fabric.FlowKey]float64, len(rem))
-				for k, b := range rem {
-					lc.demand[k] = b
-				}
-				o.Emit(obs.Event{T: now, Kind: obs.KindCoflowAdmit, Coflow: c.ID, Src: -1, Dst: -1, Bytes: c.TotalBytes()})
-			}
-		}
-		s.live[c.ID] = lc
-	}
-}
-
 // credit applies all transmission occurring in [from, to): planned circuit
 // reservations plus shared service in fair windows. It also counts circuit
 // establishments whose setup begins in the interval.
-func (s *circuitState) credit(from, to float64) {
+func (s *Stepper) credit(from, to float64) {
 	if to <= from {
 		return
 	}
@@ -516,9 +736,6 @@ func (s *circuitState) credit(from, to float64) {
 		r := &s.plan[idx]
 		lc := s.live[r.CoflowID]
 		if r.Start >= from-timeEps && r.Start < to-timeEps {
-			if s.opts.OnArchive == nil {
-				s.res.SwitchCount[r.CoflowID]++
-			}
 			if lc != nil {
 				lc.switches++
 			}
@@ -617,7 +834,7 @@ func (s *circuitState) credit(from, to float64) {
 // [from, to): during each τ window, circuit [i, A_k(i)] serves the remaining
 // demand of all live Coflows on that port pair with equal instantaneous
 // shares.
-func (s *circuitState) creditFairWindows(from, to float64) {
+func (s *Stepper) creditFairWindows(from, to float64) {
 	o := s.opts.Obs
 	for _, w := range s.opts.Fair.WindowsIn(from, to) {
 		if o.TraceEnabled() {
@@ -705,11 +922,12 @@ func (s *idRemSorter) Swap(a, b int) {
 // close those circuits or every consumer would see an unmatched circuit_up.
 // The down is stamped at the reservation end — the instant the port is
 // actually released — matching the HoldSeconds the counters accrued at setup.
-func (s *circuitState) closeTrace(now float64) {
+func (s *Stepper) closeTrace() {
 	o := s.opts.Obs
 	if !o.TraceEnabled() {
 		return
 	}
+	now := s.now
 	for _, r := range s.plan {
 		if r.Start < now-timeEps && r.End > now+timeEps {
 			o.Emit(obs.Event{T: r.End, Kind: obs.KindCircuitDown, Coflow: r.CoflowID, Src: r.In, Dst: r.Out})
@@ -721,13 +939,8 @@ func (s *circuitState) closeTrace(now float64) {
 // in id order, not map order: two Coflows finishing at the same instant must
 // emit their completion events in the same order on every run, or traces stop
 // being reproducible.
-func (s *circuitState) retire(now float64) {
-	ids := make([]int, 0, len(s.live))
-	for id := range s.live {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+func (s *Stepper) retire(now float64) {
+	for _, id := range sortedLiveIDs(s.live) {
 		lc := s.live[id]
 		done := true
 		for _, b := range lc.rem {
@@ -748,34 +961,15 @@ func (s *circuitState) retire(now float64) {
 		if finish == 0 {
 			finish = now
 		}
+		delete(s.live, id)
 		if lc.stranded {
 			// Quarantined Coflow: its routable demand has drained but
 			// stranded flows never will. It leaves the fabric without a CCT;
 			// the PartialResult records what it could not deliver.
-			s.partial().Finish[id] = finish
-			delete(s.live, id)
-			continue
+			s.partialResult().Finish[id] = finish
 		}
-		if cb := s.opts.OnArchive; cb != nil {
-			cb(Archived{
-				ID:       id,
-				Arrival:  lc.c.Arrival,
-				Finish:   finish,
-				CCT:      finish - lc.c.Arrival,
-				Bytes:    lc.bytes,
-				Switches: lc.switches,
-			})
-		} else {
-			s.res.Finish[id] = finish
-			s.res.CCT[id] = finish - lc.c.Arrival
-		}
-		delete(s.live, id)
-		if o := s.opts.Obs; o != nil {
-			o.CoflowsCompleted.Inc()
-			if o.TraceEnabled() {
-				o.Emit(obs.Event{T: finish, Kind: obs.KindCoflowComplete, Coflow: id, Src: -1, Dst: -1, Dur: finish - lc.c.Arrival})
-			}
-		}
+		s.retired(lc.record(finish))
+		s.completed(lc, finish)
 	}
 }
 
@@ -784,7 +978,7 @@ func (s *circuitState) retire(now float64) {
 // to panic). Under faults, a stall means permanent outages left a Coflow
 // unroutable: its doomed flows are quarantined and the pass retried, so every
 // solvable workload still completes.
-func (s *circuitState) replan(now float64) error {
+func (s *Stepper) replan(now float64) error {
 	for {
 		id, err := s.replanOnce(now)
 		if err == nil {
@@ -806,7 +1000,8 @@ func (s *circuitState) replan(now float64) error {
 // (non-preemption), everything else is rescheduled with IntraCoflow in policy
 // order against the remaining demand. It returns the Coflow that could not be
 // placed alongside the error.
-func (s *circuitState) replanOnce(now float64) (id int, err error) {
+func (s *Stepper) replanOnce(now float64) (id int, err error) {
+	s.passes++
 	o := s.opts.Obs
 	if o != nil || s.opts.Prof != nil {
 		// One measurement feeds the counters and the span: the span tree's
@@ -933,7 +1128,10 @@ func (s *circuitState) replanOnce(now float64) (id int, err error) {
 		ordered = s.policy.Sort(tmps)
 	}
 
-	if s.incremental {
+	// Dirty-prefix reuse runs only on a fault-free fabric: the repair path
+	// rebuilds the degraded table from scratch every pass.
+	incremental := !s.opts.FullReplan && !s.opts.Reference && s.faults == nil
+	if incremental {
 		s.compactCache()
 		sc.nextCache = sc.nextCache[:0]
 		if sc.cacheIdx == nil {
@@ -945,7 +1143,7 @@ func (s *circuitState) replanOnce(now float64) (id int, err error) {
 			sc.cacheIdx[s.cache[i].id] = i
 		}
 	}
-	id, err = s.schedulePass(now, ordered, locked, s.incremental)
+	id, err = s.schedulePass(now, ordered, locked, incremental)
 	if err == errBulkFallback {
 		// The replayed reservations did not fit the table: the reuse checks
 		// missed an invalidation. Rebuild the pass from scratch and drop the
@@ -955,13 +1153,10 @@ func (s *circuitState) replanOnce(now float64) (id int, err error) {
 			prt.SetBlackout(*s.opts.Fair)
 		}
 		sc.nextCache = sc.nextCache[:0]
-		for i := range s.cache {
-			s.cache[i] = planCacheEntry{}
-		}
-		s.cache = s.cache[:0]
+		s.dropCache()
 		return s.schedulePass(now, ordered, locked, false)
 	}
-	if err == nil && s.incremental {
+	if err == nil && incremental {
 		// Swap the rebuilt cache in; stale entries are zeroed so the old
 		// backing array does not pin retired schedules for the GC.
 		old := s.cache
@@ -1001,7 +1196,7 @@ var errBulkFallback = errors.New("sim: cached schedule replay conflicted")
 // same windows and compute the same floats — additions, removals and ulp
 // drifts on the entry's ports all surface as snapshot mismatches, with no
 // monotonicity reasoning needed.
-func (s *circuitState) schedulePass(now float64, ordered []*coflow.Coflow, locked []core.Reservation, reuse bool) (int, error) {
+func (s *Stepper) schedulePass(now float64, ordered []*coflow.Coflow, locked []core.Reservation, reuse bool) (int, error) {
 	o := s.opts.Obs
 	prt := s.prt
 	sc := &s.scratch
@@ -1098,7 +1293,7 @@ func (s *circuitState) schedulePass(now float64, ordered []*coflow.Coflow, locke
 // A retired Coflow's still-future occupancy vanishing from the table is
 // caught by the snapshot comparison of any entry that was placed around it,
 // so no bookkeeping is needed here.
-func (s *circuitState) compactCache() {
+func (s *Stepper) compactCache() {
 	out := s.cache[:0]
 	for i := range s.cache {
 		if s.live[s.cache[i].id] != nil {
@@ -1111,13 +1306,22 @@ func (s *circuitState) compactCache() {
 	s.cache = out
 }
 
+// dropCache empties the plan cache, zeroing the entries so the backing array
+// does not pin retired schedules for the GC.
+func (s *Stepper) dropCache() {
+	for i := range s.cache {
+		s.cache[i] = planCacheEntry{}
+	}
+	s.cache = s.cache[:0]
+}
+
 // reusable reports whether the cached entry can be replayed for the Coflow
 // this pass: its input flows are bit-identical; none of its placements have
 // started or fall in the (now, now+timeEps] fuzz band — placements there
 // were made against commitments the eps-tolerant comparisons could now round
 // the other way; and the busy intervals currently visible on its ports below
 // its horizon match the cached snapshot bit for bit.
-func (s *circuitState) reusable(e *planCacheEntry, tmp *coflow.Coflow, lc *liveCoflow, now float64) bool {
+func (s *Stepper) reusable(e *planCacheEntry, tmp *coflow.Coflow, lc *liveCoflow, now float64) bool {
 	if lc == nil {
 		return false
 	}
@@ -1250,7 +1454,7 @@ func remainderFrom(tmp *coflow.Coflow, lc *liveCoflow, src, exclude map[fabric.F
 // circuits. A Coflow that never carried a byte and holds no circuits keeps
 // its pooled priority-sort header — rem and base are still bit-identical
 // there, so the remainders are too.
-func (s *circuitState) schedInput(tmp *coflow.Coflow, lc *liveCoflow) *coflow.Coflow {
+func (s *Stepper) schedInput(tmp *coflow.Coflow, lc *liveCoflow) *coflow.Coflow {
 	excl := s.scratch.lockedFuture[lc.c.ID]
 	if lc.base == nil && excl == nil {
 		return tmp

@@ -269,7 +269,7 @@ func RunCircuitSharded(coflows []*coflow.Coflow, opts CircuitOptions, workers in
 	return res, nil
 }
 
-// resPartial mirrors circuitState.partial for the merged result.
+// resPartial mirrors Stepper.partialResult for the merged result.
 func resPartial(res *Result) *PartialResult {
 	if res.Partial == nil {
 		res.Partial = &PartialResult{Finish: map[int]float64{}}
