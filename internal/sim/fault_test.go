@@ -309,3 +309,29 @@ func TestQuickFaultyRunsLintClean(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDeclareOutageRejectsBadPort: an outage naming a port outside the
+// fabric is rejected and leaves the Stepper fault-free, bases and plan cache
+// included, so it keeps planning exactly as before.
+func TestDeclareOutageRejectsBadPort(t *testing.T) {
+	s, err := NewStepper(CircuitOptions{Ports: 4, LinkBps: gbps, Delta: 0.01}, func(Retired) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Admit(coflow.New(1, 0, []coflow.Flow{{Src: 0, Dst: 1, Bytes: 1e8}}))
+	if err := s.Replan(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AdvanceTo(0.05); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DeclareOutage(fault.Outage{Port: 4, Start: 0.05, End: 1}); err == nil {
+		t.Fatal("outage on port 4 of a 4-port fabric accepted")
+	}
+	if s.faults != nil || len(s.declared) != 0 {
+		t.Fatalf("rejected outage entered the fault view: %v, declared %v", s.faults, s.declared)
+	}
+	if s.live[1].base == nil {
+		t.Fatal("rejected outage dropped the drift-free base")
+	}
+}
